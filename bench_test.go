@@ -1,32 +1,54 @@
 package repro
 
 // One benchmark per table/figure of the paper's evaluation (section 5),
-// backed by internal/experiment. Each benchmark runs a scaled version of
-// the corresponding experiment and reports its headline metrics through
-// b.ReportMetric; cmd/benchrunner produces the full-size tables and CSV
-// series. See EXPERIMENTS.md for the paper-vs-measured comparison.
+// plus the robustness and performance scenarios added since. Each is a
+// thin call into the experiment.Scenarios table, which declares every
+// scenario once: its full and smoke sizes, its run, its gate and its
+// headline metrics. -short runs the smoke size (what CI runs); the same
+// table backs cmd/benchrunner. See EXPERIMENTS.md for the paper-vs-measured
+// comparison.
 //
 // Experiment iterations take seconds, so the default -benchtime keeps
 // b.N == 1; each iteration is one full experiment run.
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/experiment"
 )
 
-// writeBenchJSON persists a benchmark's headline result as
-// BENCH_<name>.json under $BENCH_JSON_DIR (no-op when unset). CI runs the
-// smoke benchmarks with the variable set and uploads the files as build
-// artifacts so runs can be compared across commits.
+// runScenario runs the named scenario once per iteration (its smoke size
+// under -short; iteration i of a seeded scenario runs its seed plus i),
+// fails on its verdict or gate, and reports its headline metrics.
+func runScenario(b *testing.B, name string) {
+	b.Helper()
+	sc, ok := experiment.Lookup(name)
+	if !ok {
+		b.Fatalf("no scenario %q", name)
+	}
+	size := experiment.Full
+	if testing.Short() {
+		size = experiment.Smoke
+	}
+	for i := 0; i < b.N; i++ {
+		out, err := sc.Run(b.TempDir(), size, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range out.Metrics {
+			b.ReportMetric(m.Value, m.Unit)
+		}
+		writeBenchJSON(b, name, out.Result)
+	}
+}
+
+// writeBenchJSON persists a benchmark's result as BENCH_<name>.json under
+// $BENCH_JSON_DIR (no-op when unset). CI runs the smoke benchmarks with
+// the variable set and uploads the files as build artifacts so runs can
+// be compared across commits.
 func writeBenchJSON(b *testing.B, name string, v any) {
 	b.Helper()
 	dir := os.Getenv("BENCH_JSON_DIR")
@@ -40,8 +62,7 @@ func writeBenchJSON(b *testing.B, name string, v any) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		b.Fatalf("bench json: %v", err)
 	}
-	path := filepath.Join(dir, "BENCH_"+name+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), append(data, '\n'), 0o644); err != nil {
 		b.Fatalf("bench json: %v", err)
 	}
 }
@@ -49,19 +70,7 @@ func writeBenchJSON(b *testing.B, name string, v any) {
 // BenchmarkEndToEndLatency is E1 (section 5, result 1): end-to-end latency
 // over a 5-hop broker network with the PHB's 44ms forced-log latency. The
 // paper reports 50ms end-to-end of which 44ms is logging.
-func BenchmarkEndToEndLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunLatency(b.TempDir(), 5, 40,
-			44*time.Millisecond, 200*time.Microsecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.WithLogging.Mean)/1e6, "latency_ms")
-		b.ReportMetric(float64(res.WithoutLogging.Mean)/1e6, "nolog_latency_ms")
-		b.ReportMetric(res.LoggingShareMean*100, "logging_share_%")
-		writeBenchJSON(b, "EndToEndLatency", res)
-	}
-}
+func BenchmarkEndToEndLatency(b *testing.B) { runScenario(b, "EndToEndLatency") }
 
 // BenchmarkMultiPubendThroughput compares the sharded broker event loop
 // against the serialized single-loop baseline: 4 pubends flooded through
@@ -70,36 +79,7 @@ func BenchmarkEndToEndLatency(b *testing.B) {
 // per pubend. On a multi-core box the sharded configuration should deliver
 // ≥1.5× the baseline's events/s; on a single core the two are expected to
 // tie (the run still validates exactly-once under shard concurrency).
-func BenchmarkMultiPubendThroughput(b *testing.B) {
-	configs := []struct {
-		name   string
-		shards int
-	}{
-		{"serialized_1shard", 1},
-		{fmt.Sprintf("sharded_%dshards", max(runtime.GOMAXPROCS(0), 2)), max(runtime.GOMAXPROCS(0), 2)},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunShardThroughput(b.TempDir(), experiment.ShardThroughputParams{
-					Pubends: 4,
-					Shards:  cfg.shards,
-					TCP:     true,
-					Measure: 1500 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Gaps != 0 {
-					b.Fatalf("unexpected gaps under steady flood: %d", res.Gaps)
-				}
-				b.ReportMetric(res.DeliveryRate, "events/s")
-				b.ReportMetric(res.PublishRate, "publishes/s")
-				writeBenchJSON(b, "MultiPubendThroughput_"+cfg.name, res)
-			}
-		})
-	}
-}
+func BenchmarkMultiPubendThroughput(b *testing.B) { runScenario(b, "MultiPubendThroughput") }
 
 // BenchmarkDurableThroughput measures fully durable publish throughput at
 // ≥8 concurrent publishers under the two durability regimes: "always" (one
@@ -107,428 +87,96 @@ func BenchmarkMultiPubendThroughput(b *testing.B) {
 // group-commit pipeline: batched appends, one fsync per batch). The
 // headline numbers are events/s and fsyncs/event; group commit must come
 // in well below 1 fsync/event. Each run also closes and recovers the
-// volume, failing if any acked publish was lost. Results land in
-// BENCH_5.json.
-func BenchmarkDurableThroughput(b *testing.B) {
-	const publishers, events = 8, 150
-	for i := 0; i < b.N; i++ {
-		combined := make(map[string]*experiment.DurableThroughputResult, 2)
-		for _, mode := range []string{"always", "group"} {
-			res, err := experiment.RunDurableThroughput(b.TempDir(), experiment.DurableThroughputParams{
-				Publishers: publishers,
-				Events:     events,
-				Mode:       mode,
-				// A short linger guarantees batching even on disks whose
-				// fsync is faster than the publishers' enqueue rate (CI
-				// tmpfs); on a real disk the fsync itself is the window.
-				GroupMaxDelay: 500 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			combined[mode] = res
-			prefix := mode + "_"
-			b.ReportMetric(res.EventsPerSec, prefix+"events/s")
-			b.ReportMetric(res.FsyncsPerEvent, prefix+"fsyncs/event")
-		}
-		if g := combined["group"]; g.FsyncsPerEvent >= 1 {
-			b.Fatalf("group commit issued %.3f fsyncs/event at %d publishers; expected well below 1",
-				g.FsyncsPerEvent, publishers)
-		}
-		writeBenchJSON(b, "5", combined)
-	}
-}
+// volume, failing if any acked publish was lost.
+func BenchmarkDurableThroughput(b *testing.B) { runScenario(b, "DurableThroughput") }
 
 // BenchmarkSHBScalability is E2 (figure 4): aggregate delivery rate as
 // SHBs are added, with and without subscriber churn. The paper scales
 // 20K→79.2K ev/s (no churn) and 17.6K→69.6K (churn) over 1→4 SHBs.
-func BenchmarkSHBScalability(b *testing.B) {
-	configs := []struct {
-		name  string
-		shbs  int
-		churn bool
-	}{
-		{"1broker_steady", 0, false},
-		{"1shb_steady", 1, false},
-		{"2shb_steady", 2, false},
-		{"4shb_steady", 4, false},
-		{"1shb_churn", 1, true},
-		{"2shb_churn", 2, true},
-		{"4shb_churn", 4, true},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunScalability(b.TempDir(), experiment.ScalabilityParams{
-					SHBs:         cfg.shbs,
-					SubsPerSHB:   8,
-					Disconnect:   cfg.churn,
-					Intermediate: cfg.shbs > 1,
-					Measure:      1500 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Violations != 0 {
-					b.Fatalf("ordering violations: %d", res.Violations)
-				}
-				b.ReportMetric(res.AggregateRate, "events/s")
-				b.ReportMetric(res.PerSubRate, "events/s/sub")
-			}
-		})
-	}
-}
+func BenchmarkSHBScalability(b *testing.B) { runScenario(b, "SHBScalability") }
 
 // BenchmarkCatchupDuration is E3 (figure 5): how long reconnecting
 // subscribers take to catch up under the paper's churn workload (5–6s for
 // a 5s outage in the paper; scaled here).
-func BenchmarkCatchupDuration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunCatchupRates(b.TempDir(), experiment.CatchupRatesParams{
-			Subscribers: 12,
-			Duration:    3 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.CatchupDurations) == 0 {
-			b.Fatal("no catchups completed")
-		}
-		b.ReportMetric(float64(res.CatchupMean)/1e6, "catchup_ms")
-		b.ReportMetric(float64(res.CatchupP95)/1e6, "catchup_p95_ms")
-		b.ReportMetric(float64(len(res.CatchupDurations)), "catchups")
-	}
-}
+func BenchmarkCatchupDuration(b *testing.B) { runScenario(b, "CatchupDuration") }
 
 // BenchmarkStreamRates is E4 (figure 6): advance rates of
 // latestDelivered(p) (steady ≈1000 tick-ms/s regardless of churn) and
 // released(p) (held back by disconnected subscribers).
-func BenchmarkStreamRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunCatchupRates(b.TempDir(), experiment.CatchupRatesParams{
-			Subscribers: 12,
-			Duration:    3 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.LDRateMean, "ld_tickms/s")
-		b.ReportMetric(res.RelRateMin, "released_min_tickms/s")
-	}
-}
+func BenchmarkStreamRates(b *testing.B) { runScenario(b, "StreamRates") }
 
 // BenchmarkPFSVersusEventLog is E5 (section 5.1.2): the PFS versus logging
 // the event once per matching subscriber. Paper: 25× less data, >5×
 // faster.
-func BenchmarkPFSVersusEventLog(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunPFSBench(b.TempDir(), experiment.PFSBenchParams{
-			Events: 8000, // 10s of the paper's 800 ev/s workload
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SpeedupX, "speedup_x")
-		b.ReportMetric(res.DataReductionX, "data_reduction_x")
-		b.ReportMetric(float64(res.PFSBytes)/1e6, "pfs_MB")
-	}
-}
+func BenchmarkPFSVersusEventLog(b *testing.B) { runScenario(b, "PFSVersusEventLog") }
 
 // BenchmarkPFSImprecise is the design ablation of section 4.2: the
 // imprecise PFS trades write volume for refiltering during catchup.
-func BenchmarkPFSImprecise(b *testing.B) {
-	for _, bucket := range []int64{0, 10, 100} {
-		name := "precise"
-		if bucket > 0 {
-			name = fmt.Sprintf("bucket_%d", bucket)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunPFSBench(b.TempDir(), experiment.PFSBenchParams{
-					Events:          8000,
-					ImpreciseBucket: Timestamp(bucket),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.PFSBytes)/1e6, "pfs_MB")
-				b.ReportMetric(res.SpeedupX, "speedup_x")
-			}
-		})
-	}
-}
+func BenchmarkPFSImprecise(b *testing.B) { runScenario(b, "PFSImprecise") }
 
 // BenchmarkJMSAutoAck is E6 (section 5.2): aggregate JMS auto-acknowledge
 // throughput, bounded by database commit rate and improved by batching CT
 // updates across subscribers (paper: 4K ev/s at 25 subs, 7.6K at 200).
-func BenchmarkJMSAutoAck(b *testing.B) {
-	for _, cfg := range []struct {
-		subs, conns int
-	}{
-		{25, 4},
-		{100, 4},
-		{25, 1},
-	} {
-		b.Run(fmt.Sprintf("%dsubs_%dconn", cfg.subs, cfg.conns), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunJMS(b.TempDir(), experiment.JMSParams{
-					Subscribers: cfg.subs,
-					Connections: cfg.conns,
-					Measure:     1500 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.AggregateRate, "events/s")
-				b.ReportMetric(res.DBCommitRate, "db_commits/s")
-				b.ReportMetric(res.UpdatesPerTx, "updates/tx")
-			}
-		})
-	}
-}
+func BenchmarkJMSAutoAck(b *testing.B) { runScenario(b, "JMSAutoAck") }
 
 // BenchmarkSHBFailover is E7 (figures 7 and 8): SHB crash and recovery.
 // Paper shapes: the constream recovers at ≈5× the normal slope; released
 // stays flat until subscribers reconnect; PHB load barely moves thanks to
 // nack consolidation.
-func BenchmarkSHBFailover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFailover(b.TempDir(), experiment.FailoverParams{
-			Subscribers: 24,
-			Machines:    4,
-			Down:        500 * time.Millisecond,
-			PostRun:     2 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Violations != 0 || res.Gaps != 0 {
-			b.Fatalf("violations=%d gaps=%d", res.Violations, res.Gaps)
-		}
-		b.ReportMetric(res.RecoveryLDRate/res.NormalLDRate, "recovery_slope_x")
-		b.ReportMetric(float64(res.CatchupMean)/1e6, "catchup_ms")
-		b.ReportMetric(res.NormalRate, "normal_events/s")
-		b.ReportMetric(res.CatchupRate, "catchup_events/s")
-	}
-}
+func BenchmarkSHBFailover(b *testing.B) { runScenario(b, "SHBFailover") }
 
 // BenchmarkCatchupStreamsVsConstream quantifies the paper's result 3: SHB
 // delivery throughput during all-subscriber catchup (separate streams)
 // versus normal consolidated operation (paper: ~10K vs ~20K ev/s).
-func BenchmarkCatchupStreamsVsConstream(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFailover(b.TempDir(), experiment.FailoverParams{
-			Subscribers: 24,
-			Machines:    4,
-			Down:        500 * time.Millisecond,
-			PostRun:     2 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio := 0.0
-		if res.CatchupRate > 0 {
-			// During catchup the SHB also redelivers the backlog, so
-			// compare delivered-rate normalized per stream count.
-			ratio = res.NormalRate / res.CatchupRate
-		}
-		b.ReportMetric(res.NormalRate, "constream_events/s")
-		b.ReportMetric(res.CatchupRate, "catchup_events/s")
-		b.ReportMetric(ratio, "constream_advantage_x")
-	}
-}
+func BenchmarkCatchupStreamsVsConstream(b *testing.B) { runScenario(b, "CatchupStreamsVsConstream") }
 
 // BenchmarkNackConsolidation measures how much upstream recovery traffic
 // the curiosity-stream consolidation eliminates when every subscriber
 // recovers the same interval at once (section 3).
-func BenchmarkNackConsolidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFailover(b.TempDir(), experiment.FailoverParams{
-			Subscribers: 24,
-			Machines:    4,
-			Down:        400 * time.Millisecond,
-			PostRun:     2 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		saved := 0.0
-		if res.NackTicksWanted > 0 {
-			saved = 100 * (1 - float64(res.NackTicksSent)/float64(res.NackTicksWanted))
-		}
-		b.ReportMetric(saved, "ticks_saved_%")
-		b.ReportMetric(float64(res.NackTicksWanted), "wanted_ticks")
-		b.ReportMetric(float64(res.NackTicksSent), "sent_ticks")
-	}
-}
+func BenchmarkNackConsolidation(b *testing.B) { runScenario(b, "NackConsolidation") }
 
 // BenchmarkPFSReadBufferSweep is the paper's future-work knob (and the
 // read-buffer discussion of section 5.3): catchup duration versus the PFS
 // batch-read buffer size (the paper uses 5000 Q ticks).
-func BenchmarkPFSReadBufferSweep(b *testing.B) {
-	for _, bufQ := range []int{50, 500, 5000} {
-		b.Run(fmt.Sprintf("buf_%d", bufQ), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunFailover(b.TempDir(), experiment.FailoverParams{
-					Subscribers: 12,
-					Machines:    3,
-					Down:        400 * time.Millisecond,
-					PostRun:     1500 * time.Millisecond,
-					ReadBufferQ: bufQ,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.CatchupMean)/1e6, "catchup_ms")
-			}
-		})
-	}
-}
+func BenchmarkPFSReadBufferSweep(b *testing.B) { runScenario(b, "PFSReadBufferSweep") }
 
 // BenchmarkEarlyRelease is E8 (section 3's PHB-controlled policy): a
 // lagging subscriber receives an explicit gap and live delivery resumes;
 // pubend storage is reclaimed despite the outstanding subscription.
-func BenchmarkEarlyRelease(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunEarlyRelease(b.TempDir(), 100*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.GapsDelivered), "gaps")
-		b.ReportMetric(float64(res.PubendEvents), "retained_events")
-	}
-}
+func BenchmarkEarlyRelease(b *testing.B) { runScenario(b, "EarlyRelease") }
 
 // BenchmarkIntermediateFiltering quantifies section 1's network-utilization
 // claim: the fraction of event traffic an intermediate broker downgrades
 // to silence because nothing below a link subscribes to it.
-func BenchmarkIntermediateFiltering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunFilteringAblation(b.TempDir(), time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SavedFraction*100, "traffic_saved_%")
-		b.ReportMetric(float64(res.EventsForwarded), "forwarded")
-	}
-}
+func BenchmarkIntermediateFiltering(b *testing.B) { runScenario(b, "IntermediateFiltering") }
 
 // BenchmarkTorture runs the randomized crash/churn fault-injection workload
 // and reports the chaos survived with the exactly-once contract intact.
-func BenchmarkTorture(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunTorture(b.TempDir(), experiment.TortureParams{
-			Subscribers: 5,
-			Duration:    2 * time.Second,
-			Seed:        int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllDelivered || res.Violations != 0 {
-			b.Fatalf("contract violated: %+v", res)
-		}
-		b.ReportMetric(float64(res.Crashes), "crashes")
-		b.ReportMetric(float64(res.Churns), "churns")
-		b.ReportMetric(float64(res.Published), "events")
-	}
-}
+func BenchmarkTorture(b *testing.B) { runScenario(b, "Torture") }
 
 // BenchmarkMatchScaling sweeps the subscription matcher over growing
-// populations (1e3→1e5 by default; override with BENCH_MATCH_SIZES, a
-// comma-separated list, for CI smoke runs), comparing the brute-force
+// populations (1e3→1e5; 1e3 and 4e3 under -short), comparing the brute-force
 // linear engine against the counting attribute index on an identical
 // population and event stream. The run fails outright if the engines ever
 // disagree on a match set, or if the index is not faster than the linear
 // scan at the largest size — a regression gate, since the whole point of
-// the index is sublinear growth. Results land in BENCH_6.json.
-func BenchmarkMatchScaling(b *testing.B) {
-	sizes := []int{1000, 10000, 100000}
-	if env := os.Getenv("BENCH_MATCH_SIZES"); env != "" {
-		sizes = nil
-		for _, f := range strings.Split(env, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				b.Fatalf("BENCH_MATCH_SIZES: bad size %q", f)
-			}
-			sizes = append(sizes, n)
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMatchScaling(experiment.MatchScalingParams{Sizes: sizes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range res.Points {
-			b.ReportMetric(pt.IndexedNsPerEvent, fmt.Sprintf("indexed_ns_%dsubs", pt.Subs))
-			b.ReportMetric(pt.LinearNsPerEvent, fmt.Sprintf("linear_ns_%dsubs", pt.Subs))
-			b.ReportMetric(pt.SpeedupX, fmt.Sprintf("speedup_x_%dsubs", pt.Subs))
-		}
-		last := res.Points[len(res.Points)-1]
-		if last.SpeedupX < 1 {
-			b.Fatalf("indexed engine slower than linear at %d subs: %.0fns vs %.0fns",
-				last.Subs, last.IndexedNsPerEvent, last.LinearNsPerEvent)
-		}
-		writeBenchJSON(b, "6", res)
-	}
-}
+// the index is sublinear growth.
+func BenchmarkMatchScaling(b *testing.B) { runScenario(b, "MatchScaling") }
 
 // BenchmarkPartitionHeal severs the SHB↔PHB overlay link five times behind
 // a seeded fault injector while a publisher streams, and reports the
 // supervised link's healing characteristics with the exactly-once contract
 // intact (section 3.3's recovery protocol driven by real link failures).
-func BenchmarkPartitionHeal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunPartitionHeal(b.TempDir(), experiment.PartitionHealParams{
-			Severs: 5,
-			Seed:   int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AllDelivered || res.Gaps != 0 || res.Violations != 0 {
-			b.Fatalf("contract violated: %+v", res)
-		}
-		b.ReportMetric(float64(res.Severs), "severs")
-		b.ReportMetric(float64(res.Reconnects), "reconnects")
-		b.ReportMetric(float64(res.MeanHeal)/1e6, "mean_heal_ms")
-		b.ReportMetric(float64(res.MaxHeal)/1e6, "max_heal_ms")
-		writeBenchJSON(b, "PartitionHeal", res)
-	}
-}
+func BenchmarkPartitionHeal(b *testing.B) { runScenario(b, "PartitionHeal") }
 
 // BenchmarkTopologyChaos is the dynamic-membership acceptance run: a
 // 12-broker tree (PHB + 3 relays + 8 SHBs) under live durable traffic,
 // with 5 random broker crashes (each restarted from its data directory)
 // and 5 live re-parents via Broker.SetUpstream. The run fails unless every
 // broker's /healthz is green after the final heal and every subscriber
-// received every event exactly once in order. The CI chaos-smoke step runs
-// a reduced tree through the BENCH_CHAOS_* overrides. Results land in
-// BENCH_TopologyChaos.json.
-func BenchmarkTopologyChaos(b *testing.B) {
-	params := experiment.TopologyChaosParams{
-		Mids:      churnEnvInt(b, "BENCH_CHAOS_MIDS", 3),
-		SHBs:      churnEnvInt(b, "BENCH_CHAOS_SHBS", 8),
-		Kills:     churnEnvInt(b, "BENCH_CHAOS_KILLS", 5),
-		Reparents: churnEnvInt(b, "BENCH_CHAOS_REPARENTS", 5),
-	}
-	for i := 0; i < b.N; i++ {
-		p := params
-		p.Seed = int64(i + 1)
-		res, err := experiment.RunTopologyChaos(b.TempDir(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Healthy || !res.AllDelivered || res.Gaps != 0 || res.Violations != 0 {
-			b.Fatalf("contract violated: %+v", res)
-		}
-		b.ReportMetric(float64(res.Brokers), "brokers")
-		b.ReportMetric(float64(res.Kills), "kills")
-		b.ReportMetric(float64(res.Reparents), "reparents")
-		b.ReportMetric(float64(res.Published), "events")
-		writeBenchJSON(b, "TopologyChaos", res)
-	}
-}
+// received every event exactly once in order. -short runs a 6-broker tree
+// with 2 crashes and 2 re-parents (the CI chaos-smoke step).
+func BenchmarkTopologyChaos(b *testing.B) { runScenario(b, "TopologyChaos") }
 
 // BenchmarkSelfHealing is the self-healing acceptance run: a 12-broker
 // tree (PHB + 5 relays + 6 SHBs) where every non-root broker carries an
@@ -538,47 +186,9 @@ func BenchmarkTopologyChaos(b *testing.B) {
 // adopt loop-free, make-before-break). The run fails unless every
 // surviving broker heals and every subscriber received every event exactly
 // once in order; the headline metrics are the time-to-repair p50/p99
-// measured by the brokers' own repair monitors. The CI selfheal-smoke step
-// runs a reduced tree through the BENCH_SELFHEAL_* overrides. Results land
-// in BENCH_SelfHealing.json.
-func BenchmarkSelfHealing(b *testing.B) {
-	params := experiment.SelfHealingParams{
-		Mids:  churnEnvInt(b, "BENCH_SELFHEAL_MIDS", 5),
-		SHBs:  churnEnvInt(b, "BENCH_SELFHEAL_SHBS", 6),
-		Kills: churnEnvInt(b, "BENCH_SELFHEAL_KILLS", 5),
-	}
-	for i := 0; i < b.N; i++ {
-		p := params
-		p.Seed = int64(i + 1)
-		res, err := experiment.RunSelfHealing(b.TempDir(), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Healthy || !res.AllDelivered || res.Gaps != 0 || res.Violations != 0 {
-			b.Fatalf("contract violated: %+v", res)
-		}
-		b.ReportMetric(float64(res.Brokers), "brokers")
-		b.ReportMetric(float64(res.Kills), "kills")
-		b.ReportMetric(float64(res.Failovers), "failovers")
-		b.ReportMetric(res.RepairP50Ms, "repair-p50-ms")
-		b.ReportMetric(res.RepairP99Ms, "repair-p99-ms")
-		writeBenchJSON(b, "SelfHealing", res)
-	}
-}
-
-// churnEnvInt reads an integer override for the churn benchmark scale from
-// the environment (the CI churn-smoke step runs a reduced population).
-func churnEnvInt(b *testing.B, key string, def int) int {
-	env := os.Getenv(key)
-	if env == "" {
-		return def
-	}
-	n, err := strconv.Atoi(env)
-	if err != nil || n <= 0 {
-		b.Fatalf("%s: bad value %q", key, env)
-	}
-	return n
-}
+// measured by the brokers' own repair monitors. -short runs an 8-broker
+// tree with 3 kills (the CI selfheal-smoke step).
+func BenchmarkSelfHealing(b *testing.B) { runScenario(b, "SelfHealing") }
 
 // BenchmarkSubscriberChurn is the subscriber-churn scenario at paper scale:
 // 50k durable subscribers with Zipf-distributed ack lag under
@@ -588,53 +198,6 @@ func churnEnvInt(b *testing.B, key string, def int) int {
 // live-path batch-ingest p99 alongside the post-publish drain time, and —
 // on machines with at least 4 cores — gates on the sharded engine
 // sustaining at least the single-lock live throughput. Exactly-once
-// violations fail the run at either configuration. Results land in
-// BENCH_10.json (PR 7 introduced the scenario; PR 10's zero-alloc
-// delivery path re-baselined it).
-func BenchmarkSubscriberChurn(b *testing.B) {
-	params := experiment.ChurnParams{
-		Subscribers: churnEnvInt(b, "BENCH_CHURN_SUBS", 50000),
-		Events:      churnEnvInt(b, "BENCH_CHURN_EVENTS", 20000),
-		ChurnOps:    churnEnvInt(b, "BENCH_CHURN_OPS", 2000),
-	}
-	shards := runtime.GOMAXPROCS(0)
-	if shards > 8 {
-		shards = 8
-	}
-	if shards < 2 {
-		// Exercise the sharded scheduler even on small containers; the
-		// throughput gate below stays off without real parallelism.
-		shards = 2
-	}
-	for i := 0; i < b.N; i++ {
-		sp := params
-		sp.SubShards = shards
-		sp.Seed = int64(i + 1)
-		sharded, err := experiment.RunSubscriberChurn(b.TempDir(), sp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bp := params
-		bp.SubShards = 1
-		bp.Seed = int64(i + 1)
-		baseline, err := experiment.RunSubscriberChurn(b.TempDir(), bp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio := sharded.EventsPerSec / baseline.EventsPerSec
-		b.ReportMetric(float64(sharded.LiveP99)/1e6, "live_p99_ms")
-		b.ReportMetric(float64(sharded.DrainTime)/1e6, "drain_ms")
-		b.ReportMetric(sharded.EventsPerSec, "events_per_sec")
-		b.ReportMetric(float64(sharded.Catchups), "catchups")
-		b.ReportMetric(ratio, "throughput_x_vs_singlelock")
-		if runtime.NumCPU() >= 4 && ratio < 1.0 {
-			b.Fatalf("sharded engine slower than single-lock baseline on %d cores: %.0f vs %.0f events/s",
-				runtime.NumCPU(), sharded.EventsPerSec, baseline.EventsPerSec)
-		}
-		writeBenchJSON(b, "10", map[string]any{
-			"sharded":                 sharded,
-			"singleLock":              baseline,
-			"throughputXvsSingleLock": ratio,
-		})
-	}
-}
+// violations fail the run at either configuration. -short runs 5k
+// subscribers, 4k events and 400 churn cycles (the CI churn-smoke step).
+func BenchmarkSubscriberChurn(b *testing.B) { runScenario(b, "SubscriberChurn") }

@@ -1,16 +1,16 @@
-// Command benchrunner regenerates the paper's evaluation (section 5):
-// every table and figure, as console tables plus optional CSV time series
-// for the figures.
+// Command benchrunner regenerates the paper's evaluation (section 5) and
+// the repository's robustness scenarios from the one scenario table,
+// experiment.Scenarios: each run prints its headline metrics, and figure
+// scenarios can also write their time series as CSV.
 //
 // Usage:
 //
-//	benchrunner -exp all                 # every experiment, scaled defaults
-//	benchrunner -exp scalability -full   # longer, closer-to-paper runs
-//	benchrunner -exp failover -csv out/  # also write figure 7/8 series
+//	benchrunner -exp all                       # every scenario, smoke size
+//	benchrunner -exp SHBScalability -full      # longer, closer-to-paper-scale run
+//	benchrunner -exp SHBFailover -csv out/     # also write figure 7/8 series
 //
-// Experiments: latency (E1), scalability (E2/fig4), catchup (E3/fig5),
-// rates (E4/fig6), pfs (E5/§5.1.2), jms (E6/§5.2), failover (E7/fig7+8),
-// earlyrelease (E8/§3).
+// Scenario names are the root benchmark names without "Benchmark" and
+// match case-insensitively; run with -h to list them.
 package main
 
 import (
@@ -18,10 +18,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
+	"strings"
 
 	"repro/internal/experiment"
-	"repro/internal/metrics"
 )
 
 func main() {
@@ -31,69 +30,61 @@ func main() {
 	}
 }
 
-type runner struct {
-	dir  string
-	csv  string
-	full bool
-}
-
 func run() error {
-	exp := flag.String("exp", "all", "experiment: latency|scalability|catchup|rates|pfs|jms|failover|earlyrelease|filtering|torture|all")
+	var names []string
+	for _, sc := range experiment.Scenarios {
+		names = append(names, sc.Name)
+	}
+	exp := flag.String("exp", "all", "scenario to run, or all: "+strings.Join(names, "|"))
 	csvDir := flag.String("csv", "", "directory to write figure CSV series into")
-	full := flag.Bool("full", false, "run longer, closer-to-paper-scale experiments")
+	full := flag.Bool("full", false, "run the paper-scale size (the go test -bench size where a scenario declares none)")
 	flag.Parse()
 
+	todo := experiment.Scenarios
+	if *exp != "all" {
+		sc, ok := experiment.Lookup(*exp)
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", *exp)
+		}
+		todo = []experiment.Scenario{sc}
+	}
 	dir, err := os.MkdirTemp("", "benchrunner-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir) //nolint:errcheck
-
-	r := &runner{dir: dir, csv: *csvDir, full: *full}
-	if r.csv != "" {
-		if err := os.MkdirAll(r.csv, 0o755); err != nil {
+	size := experiment.Smoke
+	if *full {
+		size = experiment.Paper
+	}
+	for _, sc := range todo {
+		fmt.Printf("## %s — %s\n", sc.Name, sc.Title)
+		out, err := sc.Run(filepath.Join(dir, sc.Name), size, 0)
+		if err != nil {
+			return err
+		}
+		for _, m := range out.Metrics {
+			fmt.Printf("  %-36s %14.2f\n", m.Unit, m.Value)
+		}
+		fmt.Println()
+		if err := writeCSV(*csvDir, sc.Name, out.Series); err != nil {
 			return err
 		}
 	}
-	steps := map[string]func() error{
-		"latency":      r.latency,
-		"scalability":  r.scalability,
-		"catchup":      r.catchup,
-		"rates":        r.rates,
-		"pfs":          r.pfs,
-		"jms":          r.jms,
-		"failover":     r.failover,
-		"earlyrelease": r.earlyRelease,
-		"filtering":    r.filtering,
-		"torture":      r.torture,
-	}
-	if *exp == "all" {
-		for _, name := range []string{
-			"latency", "scalability", "catchup", "rates",
-			"pfs", "jms", "failover", "earlyrelease",
-			"filtering", "torture",
-		} {
-			if err := steps[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		return nil
-	}
-	step, ok := steps[*exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *exp)
-	}
-	return step()
+	return nil
 }
 
-func (r *runner) sub(name string) string { return filepath.Join(r.dir, name) }
-
-func (r *runner) writeCSV(name string, series ...*metrics.Series) error {
-	if r.csv == "" {
+// writeCSV writes each series as <dir>/<scenario>-<series>.csv (no-op
+// without -csv).
+func writeCSV(dir, scenario string, series []*experiment.Series) error {
+	if dir == "" || len(series) == 0 {
 		return nil
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	for _, s := range series {
-		f, err := os.Create(filepath.Join(r.csv, name+"-"+s.Name()+".csv"))
+		f, err := os.Create(filepath.Join(dir, scenario+"-"+s.Name()+".csv"))
 		if err != nil {
 			return err
 		}
@@ -105,253 +96,5 @@ func (r *runner) writeCSV(name string, series ...*metrics.Series) error {
 			return err
 		}
 	}
-	return nil
-}
-
-func (r *runner) latency() error {
-	events := 40
-	if r.full {
-		events = 200
-	}
-	res, err := experiment.RunLatency(r.sub("latency"), 5, events,
-		44*time.Millisecond, 200*time.Microsecond)
-	if err != nil {
-		return err
-	}
-	fmt.Println("## E1 — End-to-end latency, 5-hop broker network (paper: 50 ms, 44 ms logging)")
-	fmt.Printf("%-28s %10s %10s %10s\n", "configuration", "mean", "p50", "p95")
-	fmt.Printf("%-28s %10s %10s %10s\n", "with PHB forced logging",
-		res.WithLogging.Mean.Round(time.Microsecond),
-		res.WithLogging.P50.Round(time.Microsecond),
-		res.WithLogging.P95.Round(time.Microsecond))
-	fmt.Printf("%-28s %10s %10s %10s\n", "without logging",
-		res.WithoutLogging.Mean.Round(time.Microsecond),
-		res.WithoutLogging.P50.Round(time.Microsecond),
-		res.WithoutLogging.P95.Round(time.Microsecond))
-	fmt.Printf("logging share of end-to-end mean: %.0f%% (paper: 88%%)\n\n", res.LoggingShareMean*100)
-	return nil
-}
-
-func (r *runner) scalability() error {
-	measure := 1500 * time.Millisecond
-	subsPer := 8
-	if r.full {
-		measure = 5 * time.Second
-		subsPer = 24
-	}
-	fmt.Println("## E2 — Figure 4: aggregate delivery rate vs number of SHBs")
-	fmt.Printf("%-16s %6s %6s %14s %14s %6s\n",
-		"configuration", "SHBs", "subs", "events/s", "per-sub ev/s", "gaps")
-	type cfg struct {
-		name  string
-		shbs  int
-		churn bool
-	}
-	var base float64
-	for _, c := range []cfg{
-		{"1 broker", 0, false}, {"1 SHB", 1, false},
-		{"2 SHB", 2, false}, {"4 SHB", 4, false},
-		{"1 SHB + churn", 1, true}, {"2 SHB + churn", 2, true},
-		{"4 SHB + churn", 4, true},
-	} {
-		res, err := experiment.RunScalability(r.sub("scal-"+c.name), experiment.ScalabilityParams{
-			SHBs:         c.shbs,
-			SubsPerSHB:   subsPer,
-			Disconnect:   c.churn,
-			Intermediate: c.shbs > 1,
-			Measure:      measure,
-		})
-		if err != nil {
-			return err
-		}
-		if res.Violations != 0 {
-			return fmt.Errorf("%s: %d ordering violations", c.name, res.Violations)
-		}
-		fmt.Printf("%-16s %6d %6d %14.0f %14.1f %6d\n",
-			c.name, maxInt(c.shbs, 1), res.Subscribers, res.AggregateRate,
-			res.PerSubRate, res.Gaps)
-		if c.name == "1 SHB" {
-			base = res.AggregateRate
-		}
-		if c.name == "4 SHB" && base > 0 {
-			fmt.Printf("  scaling 1→4 SHBs: %.2fx (paper: 3.96x, 20K→79.2K)\n", res.AggregateRate/base)
-		}
-	}
-	fmt.Println()
-	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (r *runner) catchup() error {
-	dur := 3 * time.Second
-	if r.full {
-		dur = 10 * time.Second
-	}
-	res, err := experiment.RunCatchupRates(r.sub("catchup"), experiment.CatchupRatesParams{
-		Subscribers: 12,
-		Duration:    dur,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("## E3 — Figure 5: catchup durations under periodic disconnection")
-	fmt.Printf("catchups completed: %d  mean: %.2fms  p95: %.2fms (paper: 5–6 s for 5 s outages; here outages are 100 ms and recovery is in-memory)\n\n",
-		len(res.CatchupDurations),
-		float64(res.CatchupMean)/1e6,
-		float64(res.CatchupP95)/1e6)
-	return nil
-}
-
-func (r *runner) rates() error {
-	dur := 3 * time.Second
-	if r.full {
-		dur = 10 * time.Second
-	}
-	res, err := experiment.RunCatchupRates(r.sub("rates"), experiment.CatchupRatesParams{
-		Subscribers: 12,
-		Duration:    dur,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("## E4 — Figure 6: latestDelivered(p) and released(p) advance rates")
-	fmt.Printf("latestDelivered: mean %.0f tick-ms/s (paper: ≈1000, steady)\n", res.LDRateMean)
-	fmt.Printf("released:        min  %.0f tick-ms/s (paper: large dips while subscribers are disconnected)\n\n",
-		res.RelRateMin)
-	return r.writeCSV("fig6", res.LDRate, res.RelRate)
-}
-
-func (r *runner) pfs() error {
-	events := 8000
-	if r.full {
-		events = 80000 // the paper's full 100 s workload
-	}
-	res, err := experiment.RunPFSBench(r.sub("pfs"), experiment.PFSBenchParams{Events: events})
-	if err != nil {
-		return err
-	}
-	fmt.Println("## E5 — §5.1.2 PFS microbenchmark (paper: 25x less data, >5x faster)")
-	fmt.Printf("%-28s %12s %12s\n", "", "PFS", "per-sub log")
-	fmt.Printf("%-28s %12s %12s\n", "duration",
-		res.PFSDuration.Round(time.Millisecond), res.EventLogDur.Round(time.Millisecond))
-	fmt.Printf("%-28s %11.1fM %11.1fM\n", "bytes logged",
-		float64(res.PFSBytes)/1e6, float64(res.EventLogBytes)/1e6)
-	fmt.Printf("speedup: %.1fx   data reduction: %.1fx\n\n", res.SpeedupX, res.DataReductionX)
-	return nil
-}
-
-func (r *runner) jms() error {
-	measure := 1500 * time.Millisecond
-	big := 100
-	if r.full {
-		measure = 5 * time.Second
-		big = 200 // the paper's subscriber count
-	}
-	fmt.Println("## E6 — §5.2 JMS auto-acknowledge (paper: 4K ev/s @25 subs, 7.6K @200, 4 connections)")
-	fmt.Printf("%-6s %6s %14s %14s %12s\n", "subs", "conns", "events/s", "db commits/s", "updates/tx")
-	for _, cfg := range []struct{ subs, conns int }{
-		{25, 4}, {big, 4}, {25, 1},
-	} {
-		res, err := experiment.RunJMS(r.sub(fmt.Sprintf("jms-%d-%d", cfg.subs, cfg.conns)),
-			experiment.JMSParams{
-				Subscribers: cfg.subs,
-				Connections: cfg.conns,
-				Measure:     measure,
-			})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-6d %6d %14.0f %14.0f %12.1f\n",
-			res.Subscribers, res.Connections, res.AggregateRate,
-			res.DBCommitRate, res.UpdatesPerTx)
-	}
-	fmt.Println()
-	return nil
-}
-
-func (r *runner) failover() error {
-	p := experiment.FailoverParams{
-		Subscribers: 24,
-		Machines:    4,
-		Down:        500 * time.Millisecond,
-		PostRun:     2 * time.Second,
-	}
-	if r.full {
-		p.Subscribers = 40 // the paper's count
-		p.Machines = 5
-		p.Down = 2 * time.Second
-		p.PostRun = 6 * time.Second
-	}
-	res, err := experiment.RunFailover(r.sub("failover"), p)
-	if err != nil {
-		return err
-	}
-	fmt.Println("## E7 — Figures 7/8 + result 3: SHB crash and recovery")
-	fmt.Printf("constream recovery slope: %.1fx normal (paper: ≈5x)\n",
-		res.RecoveryLDRate/res.NormalLDRate)
-	fmt.Printf("catchups completed: %d, mean %.2fms (all subscribers simultaneously; paper: 116 s at paper scale)\n",
-		len(res.CatchupDur), float64(res.CatchupMean)/1e6)
-	fmt.Printf("SHB delivery rate: normal %.0f ev/s, during all-subscriber catchup %.0f ev/s (paper: 20K vs 10K)\n",
-		res.NormalRate, res.CatchupRate)
-	shield := 0.0
-	if total := res.CacheHits + res.CacheMisses; total > 0 {
-		shield = 100 * float64(res.CacheHits) / float64(total)
-	}
-	fmt.Printf("PHB shielding: %.0f%% of catchup event fetches served by the SHB cache; only the rest reached upstream (figure 8 bottom: PHB CPU barely moves)\n", shield)
-	fmt.Printf("gaps: %d  ordering violations: %d (must be 0)\n\n", res.Gaps, res.Violations)
-	series := append([]*metrics.Series{res.LDSeries, res.RelSeries}, res.MachineRates...)
-	return r.writeCSV("fig7-8", series...)
-}
-
-func (r *runner) earlyRelease() error {
-	res, err := experiment.RunEarlyRelease(r.sub("earlyrelease"), 100*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	fmt.Println("## E8 — §3 early release (PHB-controlled maxRetain policy)")
-	fmt.Printf("events published: %d; lagging subscriber received %d explicit gap(s), then %d live event(s)\n",
-		res.Published, res.GapsDelivered, res.EventsAfter)
-	fmt.Printf("pubend retains %d events after reclamation; ordering violations: %d\n\n",
-		res.PubendEvents, res.Violations)
-	return nil
-}
-
-func (r *runner) filtering() error {
-	res, err := experiment.RunFilteringAblation(r.sub("filtering"), time.Second)
-	if err != nil {
-		return err
-	}
-	fmt.Println("## Ablation — intermediate-broker filtering (section 1)")
-	fmt.Printf("event transmissions on SHB links: %d forwarded as data, %d downgraded to silence\n",
-		res.EventsForwarded, res.EventsFiltered)
-	fmt.Printf("network traffic saved by filtering at the intermediate: %.0f%%\n\n",
-		res.SavedFraction*100)
-	return nil
-}
-
-func (r *runner) torture() error {
-	dur := 3 * time.Second
-	if r.full {
-		dur = 10 * time.Second
-	}
-	res, err := experiment.RunTorture(r.sub("torture"), experiment.TortureParams{
-		Subscribers: 6,
-		Duration:    dur,
-		Seed:        1,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("## Fault injection — randomized SHB crashes and subscriber churn")
-	fmt.Printf("published %d events through %d SHB crash/restarts and %d subscriber churns\n",
-		res.Published, res.Crashes, res.Churns)
-	fmt.Printf("exactly-once held: %v (gaps=%d, ordering violations=%d)\n\n",
-		res.AllDelivered && res.Violations == 0, res.Gaps, res.Violations)
 	return nil
 }

@@ -88,8 +88,7 @@ type PublisherOptions struct {
 // PublisherOption is one functional option for NewPublisher.
 type PublisherOption func(*PublisherOptions)
 
-// WithOptions overlays a whole PublisherOptions struct (the bridge from
-// the deprecated struct-options constructors).
+// WithOptions overlays a whole PublisherOptions struct.
 func WithOptions(o PublisherOptions) PublisherOption {
 	return func(dst *PublisherOptions) { *dst = o }
 }
@@ -134,26 +133,6 @@ func NewPublisher(ctx context.Context, t overlay.Transport, addr, name string, o
 	for _, apply := range options {
 		apply(&opts)
 	}
-	return newPublisher(ctx, t, addr, name, opts)
-}
-
-// NewPublisherOpts connects with struct options and no context.
-//
-// Deprecated: use NewPublisher with WithOptions (or the individual
-// With... options).
-func NewPublisherOpts(t overlay.Transport, addr, name string, opts PublisherOptions) (*Publisher, error) {
-	return newPublisher(context.Background(), t, addr, name, opts)
-}
-
-// NewPublisherContext is NewPublisherOpts with the initial dial bounded
-// by ctx.
-//
-// Deprecated: use NewPublisher with WithOptions.
-func NewPublisherContext(ctx context.Context, t overlay.Transport, addr, name string, opts PublisherOptions) (*Publisher, error) {
-	return newPublisher(ctx, t, addr, name, opts)
-}
-
-func newPublisher(ctx context.Context, t overlay.Transport, addr, name string, opts PublisherOptions) (*Publisher, error) {
 	p := &Publisher{opts: opts, pending: make(map[uint64]chan *message.PublishAck)}
 	if opts.AutoReconnect {
 		sup := overlay.NewSupervisor(overlay.SupervisorConfig{
@@ -423,17 +402,6 @@ func NewSubscriber(opts SubscriberOptions) (*Subscriber, error) {
 // the link is supervised — reconnects governed by DialTimeout alone — and
 // re-subscribes itself until Disconnect.
 func (s *Subscriber) Connect(ctx context.Context, t overlay.Transport, addr string) error {
-	return s.connect(ctx, t, addr)
-}
-
-// ConnectContext is Connect.
-//
-// Deprecated: Connect is context-first now; call it directly.
-func (s *Subscriber) ConnectContext(ctx context.Context, t overlay.Transport, addr string) error {
-	return s.connect(ctx, t, addr)
-}
-
-func (s *Subscriber) connect(ctx context.Context, t overlay.Transport, addr string) error {
 	if s.opts.AutoReconnect {
 		s.mu.Lock()
 		if s.sup != nil {

@@ -1,7 +1,12 @@
 // Package experiment builds the paper's evaluation topologies and
 // workloads and runs every experiment of section 5, producing the numbers
-// and time series behind each figure and table. The cmd/benchrunner binary
-// and the repository-root benchmarks are thin wrappers over this package.
+// and time series behind each figure and table. Every scenario is declared
+// once in the Scenarios table (scenarios.go); cmd/benchrunner and the
+// repository-root benchmarks only look it up and run it.
+//
+// One Cluster (or, for the membership scenarios, one tree driver) builds
+// the brokers; one SubscriberPool is the exactly-once checker every
+// delivery scenario drains and judges.
 //
 // Scaling: the paper runs minutes-long experiments on a 6-way SMP cluster;
 // this harness runs seconds-long, time-scaled versions on one machine. All
@@ -60,7 +65,7 @@ type Topology struct {
 	// OnCaughtUp receives catchup-duration samples from every SHB.
 	OnCaughtUp func(sub vtime.SubscriberID, pub vtime.PubendID, took time.Duration)
 	// Tuning is the shared performance-knob surface (shards, sub-shards,
-	// catchup weight, match engine) — the same type the topology spec and
+	// catchup weight) — the same type the topology spec and
 	// the broker flags consume, so the harness cannot drift from them.
 	topology.Tuning
 	// TCP runs the cluster over real loopback TCP sockets instead of the
@@ -106,21 +111,14 @@ func (c *Cluster) PHBAddr() string { return c.phbAddr }
 
 // SHBAddr is the subscriber connection address of SHB i (or the combined
 // broker in the single-broker topology).
-func (c *Cluster) SHBAddr(i int) string {
-	if c.topo.SHBs == 0 {
-		return c.phbAddr
-	}
-	return c.shbAddrs[i]
-}
+func (c *Cluster) SHBAddr(i int) string { return c.SHBAddrs()[i] }
 
-// listenAddr picks a broker's bind address: its name on the in-process
-// transport, an ephemeral loopback port under TCP (the actual address is
-// read back through broker.BoundAddr).
-func (c *Cluster) listenAddr(name string) string {
-	if c.topo.TCP {
-		return "127.0.0.1:0"
+// SHBAddrs lists every subscriber connection address.
+func (c *Cluster) SHBAddrs() []string {
+	if c.topo.SHBs == 0 {
+		return []string{c.phbAddr}
 	}
-	return name
+	return c.shbAddrs
 }
 
 // SHBBroker returns the broker behind SHBAddr(i).
@@ -131,21 +129,55 @@ func (c *Cluster) SHBBroker(i int) *broker.Broker {
 	return c.SHBs[i]
 }
 
+// Load starts a PublisherLoad against the PHB.
+func (c *Cluster) Load(o LoadOptions) (*PublisherLoad, error) {
+	return StartPublisherLoad(c.Transport, c.phbAddr, o)
+}
+
+// Pool starts a SubscriberPool spread over the SHBs.
+func (c *Cluster) Pool(o PoolOptions) (*SubscriberPool, error) {
+	return StartSubscriberPool(c.Transport, c.SHBAddrs(), o)
+}
+
+// config is the broker configuration every member shares, for the broker
+// called name under upstream ("" = the root). An SHB also gets a data
+// directory and the full pubend list.
+func (c *Cluster) config(name, upstream string, shb bool) broker.Config {
+	cfg := broker.Config{
+		Name:              name,
+		Transport:         c.brokerT,
+		DialTimeout:       c.topo.DialTimeout,
+		ListenAddr:        name,
+		UpstreamAddr:      upstream,
+		TickInterval:      c.topo.TickInterval,
+		EventCacheSize:    c.topo.EventCacheSize,
+		RelayCacheSize:    c.topo.RelayCacheSize,
+		ReadBufferQ:       c.topo.ReadBufferQ,
+		MetaCommitLatency: c.topo.MetaCommitLatency,
+		OnCaughtUp:        c.topo.OnCaughtUp,
+	}
+	if c.topo.TCP {
+		// An ephemeral loopback port; the bound address is read back
+		// through broker.BoundAddr.
+		cfg.ListenAddr = "127.0.0.1:0"
+	}
+	if shb {
+		cfg.DataDir = filepath.Join(c.dir, name)
+		cfg.EnableSHB = true
+		cfg.AllPubends = c.AllPubends()
+	}
+	c.topo.Tuning.Apply(&cfg)
+	return cfg
+}
+
 // BuildCluster starts the topology under dir.
 func BuildCluster(dir string, topo Topology) (*Cluster, error) {
-	if topo.Pubends == 0 {
-		topo.Pubends = 4
-	}
-	if topo.TickInterval == 0 {
-		topo.TickInterval = 2 * time.Millisecond
-	}
+	orDefault(&topo.Pubends, 4)
+	orDefault(&topo.TickInterval, 2*time.Millisecond)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiment: dir: %w", err)
 	}
-	c := &Cluster{
-		topo: topo,
-		dir:  dir,
-	}
+	c := &Cluster{topo: topo, dir: dir}
 	if topo.TCP {
 		c.Transport = overlay.TCPTransport{}
 	} else {
@@ -155,34 +187,14 @@ func BuildCluster(dir string, topo Topology) (*Cluster, error) {
 	if topo.WrapBrokerTransport != nil {
 		c.brokerT = topo.WrapBrokerTransport(c.Transport)
 	}
-	var hosted []broker.PubendConfig
+	phbCfg := c.config("phb", "", topo.SHBs == 0)
+	phbCfg.DataDir = filepath.Join(dir, "phb")
 	for i := 1; i <= topo.Pubends; i++ {
-		hosted = append(hosted, broker.PubendConfig{
+		phbCfg.HostedPubends = append(phbCfg.HostedPubends, broker.PubendConfig{
 			ID:         vtime.PubendID(i),
 			Policy:     topo.Policy,
 			LogLatency: topo.PublishLogLatency,
 		})
-	}
-	common := broker.Config{
-		Transport:         c.brokerT,
-		DialTimeout:       topo.DialTimeout,
-		TickInterval:      topo.TickInterval,
-		EventCacheSize:    topo.EventCacheSize,
-		RelayCacheSize:    topo.RelayCacheSize,
-		ReadBufferQ:       topo.ReadBufferQ,
-		MetaCommitLatency: topo.MetaCommitLatency,
-		OnCaughtUp:        topo.OnCaughtUp,
-	}
-	topo.Tuning.Apply(&common)
-
-	phbCfg := common
-	phbCfg.Name = "phb"
-	phbCfg.DataDir = filepath.Join(dir, "phb")
-	phbCfg.ListenAddr = c.listenAddr("phb")
-	phbCfg.HostedPubends = hosted
-	if topo.SHBs == 0 {
-		phbCfg.EnableSHB = true
-		phbCfg.AllPubends = c.AllPubends()
 	}
 	phb, err := broker.New(phbCfg)
 	if err != nil {
@@ -191,42 +203,23 @@ func BuildCluster(dir string, topo Topology) (*Cluster, error) {
 	c.PHB = phb
 	c.phbAddr = phb.BoundAddr()
 
-	upstream := c.phbAddr
+	var mids []string
 	for i := 0; i < topo.Chain; i++ {
-		midCfg := common
-		midCfg.Name = fmt.Sprintf("mid%d", i)
-		midCfg.ListenAddr = c.listenAddr(midCfg.Name)
-		midCfg.UpstreamAddr = upstream
-		mid, err := broker.New(midCfg)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.Mids = append(c.Mids, mid)
-		upstream = mid.BoundAddr()
+		mids = append(mids, fmt.Sprintf("mid%d", i))
 	}
 	if topo.Intermediate {
-		midCfg := common
-		midCfg.Name = "mid"
-		midCfg.ListenAddr = c.listenAddr("mid")
-		midCfg.UpstreamAddr = upstream
-		mid, err := broker.New(midCfg)
+		mids = append(mids, "mid")
+	}
+	for _, name := range mids {
+		mid, err := broker.New(c.config(name, c.upstream(), false))
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		c.Mids = append(c.Mids, mid)
-		upstream = mid.BoundAddr()
 	}
 	for i := 0; i < topo.SHBs; i++ {
-		cfg := common
-		cfg.Name = fmt.Sprintf("shb%d", i)
-		cfg.DataDir = filepath.Join(dir, cfg.Name)
-		cfg.ListenAddr = c.listenAddr(cfg.Name)
-		cfg.UpstreamAddr = upstream
-		cfg.EnableSHB = true
-		cfg.AllPubends = c.AllPubends()
-		shb, err := broker.New(cfg)
+		shb, err := broker.New(c.config(fmt.Sprintf("shb%d", i), c.upstream(), true))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -237,6 +230,15 @@ func BuildCluster(dir string, topo Topology) (*Cluster, error) {
 	return c, nil
 }
 
+// upstream is the address SHBs (and the next relay) attach under: the
+// last relay built so far, else the PHB.
+func (c *Cluster) upstream() string {
+	if len(c.Mids) > 0 {
+		return c.Mids[len(c.Mids)-1].BoundAddr()
+	}
+	return c.phbAddr
+}
+
 // CrashSHB crashes SHB i; RestartSHB brings a successor up from the same
 // data directory.
 func (c *Cluster) CrashSHB(i int) {
@@ -245,29 +247,7 @@ func (c *Cluster) CrashSHB(i int) {
 
 // RestartSHB restarts a crashed SHB from its persistent state.
 func (c *Cluster) RestartSHB(i int) error {
-	name := fmt.Sprintf("shb%d", i)
-	upstream := c.phbAddr
-	if len(c.Mids) > 0 {
-		upstream = c.Mids[len(c.Mids)-1].BoundAddr()
-	}
-	cfg := broker.Config{
-		Name:              name,
-		DataDir:           filepath.Join(c.dir, name),
-		Transport:         c.brokerT,
-		DialTimeout:       c.topo.DialTimeout,
-		ListenAddr:        c.listenAddr(name),
-		UpstreamAddr:      upstream,
-		EnableSHB:         true,
-		AllPubends:        c.AllPubends(),
-		TickInterval:      c.topo.TickInterval,
-		EventCacheSize:    c.topo.EventCacheSize,
-		RelayCacheSize:    c.topo.RelayCacheSize,
-		ReadBufferQ:       c.topo.ReadBufferQ,
-		MetaCommitLatency: c.topo.MetaCommitLatency,
-		OnCaughtUp:        c.topo.OnCaughtUp,
-	}
-	c.topo.Tuning.Apply(&cfg)
-	nb, err := broker.New(cfg)
+	nb, err := broker.New(c.config(fmt.Sprintf("shb%d", i), c.upstream(), true))
 	if err != nil {
 		return err
 	}

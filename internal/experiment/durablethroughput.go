@@ -55,18 +55,10 @@ type DurableThroughputResult struct {
 // durable write path), measures throughput and fsyncs/event, then crashes
 // the volume shut and recovers it to verify every acked event survived.
 func RunDurableThroughput(dir string, p DurableThroughputParams) (*DurableThroughputResult, error) {
-	if p.Publishers == 0 {
-		p.Publishers = 8
-	}
-	if p.Events == 0 {
-		p.Events = 200
-	}
-	if p.PayloadBytes == 0 {
-		p.PayloadBytes = 128
-	}
-	if p.Mode == "" {
-		p.Mode = "group"
-	}
+	orDefault(&p.Publishers, 8)
+	orDefault(&p.Events, 200)
+	orDefault(&p.PayloadBytes, 128)
+	orDefault(&p.Mode, "group")
 
 	opts := logvol.Options{GroupMaxDelay: p.GroupMaxDelay}
 	var syncEvery bool

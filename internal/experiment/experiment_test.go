@@ -14,7 +14,7 @@ import (
 func TestRunLatencyShape(t *testing.T) {
 	// The paper's forced-log latency (44 ms) against a multi-hop path;
 	// scaled-down log latencies drown in timer noise on loopback.
-	res, err := RunLatency(t.TempDir(), 3, 30, 44*time.Millisecond, 200*time.Microsecond)
+	res, err := RunLatency(t.TempDir(), LatencyParams{Hops: 3, Events: 30, LogLatency: 44 * time.Millisecond, LinkLatency: 200 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRunTorture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.AllDelivered || res.Violations != 0 || res.Gaps != 0 {
+			if res.Verdict.Err() != nil {
 				t.Fatalf("torture: %+v", res)
 			}
 			if res.Crashes+res.Churns == 0 {

@@ -123,12 +123,8 @@ func RunMatchScaling(p MatchScalingParams) (*MatchScalingResult, error) {
 	if len(p.Sizes) == 0 {
 		return nil, fmt.Errorf("match scaling: at least one size required")
 	}
-	if p.Events == 0 {
-		p.Events = 200
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
+	orDefault(&p.Events, 200)
+	orDefault(&p.Seed, 1)
 	res := &MatchScalingResult{}
 	for _, n := range p.Sizes {
 		r := rand.New(rand.NewSource(p.Seed))

@@ -16,7 +16,7 @@ func TestPartitionHeal(t *testing.T) {
 	if res.MaxHeal <= 0 {
 		t.Fatalf("expected nonzero heal times, got %+v", res)
 	}
-	if !res.AllDelivered || res.Gaps != 0 || res.Violations != 0 {
+	if res.Verdict.Err() != nil {
 		t.Fatalf("delivery contract broken: %+v", res)
 	}
 }

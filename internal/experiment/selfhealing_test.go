@@ -37,7 +37,7 @@ func TestSelfHealingSmall(t *testing.T) {
 	if res.RepairP50Ms <= 0 || res.RepairP99Ms < res.RepairP50Ms {
 		t.Errorf("repair percentiles not sane: %+v", res)
 	}
-	if !res.Healthy || !res.AllDelivered || res.Gaps != 0 || res.Violations != 0 {
+	if !res.Healthy || res.Verdict.Err() != nil {
 		t.Errorf("invariants: %+v", res)
 	}
 	if res.Published == 0 {

@@ -3,12 +3,12 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/filter"
 	"repro/internal/message"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 	"repro/internal/vtime"
 )
@@ -53,37 +53,23 @@ type ShardThroughputResult struct {
 	DeliveryRate float64
 	Published    int64
 	Delivered    int64
-	Gaps         int64
-	Violations   int64
+	Verdict
 }
 
 // RunShardThroughput floods every pubend through a windowed async
 // publisher while one durable subscriber per pubend drains the matching
-// group, and reports aggregate publish and delivery rates. Exactly-once
-// invariants (violations, unexpected gaps) are checked as in every other
-// experiment: a faster-but-wrong shard configuration must fail, not win.
+// group, and reports aggregate publish and delivery rates. Exactly-once is
+// judged as in every other experiment: a faster-but-wrong shard
+// configuration must fail, not win.
 func RunShardThroughput(dir string, p ShardThroughputParams) (*ShardThroughputResult, error) {
-	if p.Pubends == 0 {
-		p.Pubends = 4
-	}
-	if p.Window == 0 {
-		p.Window = 64
-	}
-	if p.Payload == 0 {
-		p.Payload = PaperPayloadBytes
-	}
-	if p.Warmup == 0 {
-		p.Warmup = 300 * time.Millisecond
-	}
-	if p.Measure == 0 {
-		p.Measure = time.Second
-	}
-	shbs := p.SHBs
-	if shbs == 0 {
-		shbs = 1
-	}
+	orDefault(&p.Pubends, 4)
+	orDefault(&p.Window, 64)
+	orDefault(&p.Payload, PaperPayloadBytes)
+	orDefault(&p.Warmup, 300*time.Millisecond)
+	orDefault(&p.Measure, time.Second)
+	orDefault(&p.SHBs, 1)
 	c, err := BuildCluster(dir, Topology{
-		SHBs:    shbs,
+		SHBs:    p.SHBs,
 		Pubends: p.Pubends,
 		Tuning:  topology.Tuning{Shards: p.Shards},
 		TCP:     p.TCP,
@@ -92,47 +78,39 @@ func RunShardThroughput(dir string, p ShardThroughputParams) (*ShardThroughputRe
 		return nil, err
 	}
 	defer c.Close()
-
-	pool, err := StartSubscriberPool(c, PoolOptions{
-		N:      p.Pubends,
-		Groups: p.Pubends,
-	})
+	pool, err := c.Pool(PoolOptions{N: p.Pubends, Groups: p.Pubends})
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Stop()
 
-	var acked metrics.Counter
+	// Publisher i floods pubend i+1 with group i, so exactly subscriber i
+	// matches; acked[i] is what that subscriber is owed.
+	acked := make([]atomic.Int64, p.Pubends)
+	totalAcked := func() (n int64) {
+		for i := range acked {
+			n += acked[i].Load()
+		}
+		return n
+	}
 	stop := make(chan struct{})
 	errs := make(chan error, p.Pubends)
-	done := make(chan struct{}, p.Pubends)
 	for i := 0; i < p.Pubends; i++ {
-		target := vtime.PubendID(i + 1)
-		group := groupName(i)
-		go func() {
-			defer func() { done <- struct{}{} }()
-			errs <- floodPubend(c, target, group, p, stop, &acked)
-		}()
-	}
-	stopFlood := func() {
-		close(stop)
-		for i := 0; i < p.Pubends; i++ {
-			<-done
-		}
+		go func() { errs <- floodPubend(c, i, p, stop, &acked[i]) }()
 	}
 
 	time.Sleep(p.Warmup)
-	ackedBefore := acked.Load()
-	recvBefore := pool.Received()
+	ackedBefore, recvBefore := totalAcked(), pool.Received(nil)
 	time.Sleep(p.Measure)
-	ackedAfter := acked.Load()
-	recvAfter := pool.Received()
-	stopFlood()
-
+	ackedAfter, recvAfter := totalAcked(), pool.Received(nil)
+	close(stop)
 	for i := 0; i < p.Pubends; i++ {
-		if err := <-errs; err != nil {
-			return nil, err
+		if ferr := <-errs; ferr != nil && err == nil {
+			err = ferr
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	res := &ShardThroughputResult{
 		Shards:       c.PHB.Shards(),
@@ -141,28 +119,27 @@ func RunShardThroughput(dir string, p ShardThroughputParams) (*ShardThroughputRe
 		DeliveryRate: float64(recvAfter-recvBefore) / p.Measure.Seconds(),
 		Published:    ackedAfter,
 		Delivered:    recvAfter,
-		Gaps:         pool.Gaps(),
-		Violations:   pool.Violations(),
+		Verdict:      *pool.Drain(func(g int) int64 { return acked[g].Load() }, 20*time.Second),
 	}
-	if res.Violations != 0 {
-		return res, fmt.Errorf("shard throughput: %d ordering violations", res.Violations)
+	if err := res.Err(); err != nil {
+		return res, fmt.Errorf("shard throughput: %w", err)
 	}
 	return res, nil
 }
 
-// floodPubend keeps p.Window async publishes outstanding against one
-// pubend until stop closes, counting acks. Events carry the pubend's group
-// attribute so exactly one pool subscriber matches them.
-func floodPubend(c *Cluster, target vtime.PubendID, group string, p ShardThroughputParams, stop chan struct{}, acked *metrics.Counter) error {
+// floodPubend keeps p.Window async publishes outstanding against pubend
+// i+1 until stop closes, counting acks. Events carry group i so exactly one
+// pool subscriber matches them.
+func floodPubend(c *Cluster, i int, p ShardThroughputParams, stop chan struct{}, acked *atomic.Int64) error {
+	target := vtime.PubendID(i + 1)
 	pub, err := client.NewPublisher(context.Background(), c.Transport, c.PHBAddr(), fmt.Sprintf("flood%d", target))
 	if err != nil {
 		return err
 	}
 	defer pub.Close() //nolint:errcheck,gosec // shutdown
-	payload := make([]byte, p.Payload)
 	ev := message.Event{
-		Attrs:   filter.Attributes{"group": filter.String(group)},
-		Payload: payload,
+		Attrs:   filter.Attributes{"group": filter.String(groupName(i))},
+		Payload: make([]byte, p.Payload),
 	}
 	inflight := make(chan (<-chan *message.PublishAck), p.Window)
 	for {
@@ -173,7 +150,7 @@ func floodPubend(c *Cluster, target vtime.PubendID, group string, p ShardThrough
 			close(inflight)
 			for ch := range inflight {
 				if _, ok := <-ch; ok {
-					acked.Inc()
+					acked.Add(1)
 				}
 			}
 			return nil
@@ -191,7 +168,7 @@ func floodPubend(c *Cluster, target vtime.PubendID, group string, p ShardThrough
 			if _, ok := <-(<-inflight); !ok {
 				return fmt.Errorf("flood pubend %d: connection lost", target)
 			}
-			acked.Inc()
+			acked.Add(1)
 			inflight <- ch
 		}
 	}

@@ -3,7 +3,9 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -56,6 +58,8 @@ type ChurnParams struct {
 	// Seed makes the churn and lag sequences reproducible (0 = 1).
 	Seed int64
 }
+
+func (p *ChurnParams) offsetSeed(i int64) { offsetSeed(&p.Seed, i) }
 
 // ChurnResult reports the scenario outcome: live-path knowledge-batch
 // latency percentiles observed while catchup streams drained concurrently,
@@ -169,33 +173,15 @@ const churnPubend = vtime.PubendID(1)
 // returns an error if any subscriber lost, duplicated, or reordered an
 // event, or saw a spurious gap.
 func RunSubscriberChurn(dir string, p ChurnParams) (*ChurnResult, error) {
-	if p.Subscribers == 0 {
-		p.Subscribers = 50000
-	}
-	if p.Groups == 0 {
-		p.Groups = 512
-	}
-	if p.Events == 0 {
-		p.Events = 20000
-	}
-	if p.BatchSize == 0 {
-		p.BatchSize = 64
-	}
-	if p.ChurnWorkers == 0 {
-		p.ChurnWorkers = 8
-	}
-	if p.ChurnOps == 0 {
-		p.ChurnOps = 2000
-	}
-	if p.ZipfS == 0 {
-		p.ZipfS = 1.2
-	}
-	if p.ZipfMaxLag == 0 {
-		p.ZipfMaxLag = 4096
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
+	orDefault(&p.Subscribers, 50000)
+	orDefault(&p.Groups, 512)
+	orDefault(&p.Events, 20000)
+	orDefault(&p.BatchSize, 64)
+	orDefault(&p.ChurnWorkers, 8)
+	orDefault(&p.ChurnOps, 2000)
+	orDefault(&p.ZipfS, 1.2)
+	orDefault(&p.ZipfMaxLag, 4096)
+	orDefault(&p.Seed, 1)
 
 	// Pre-generate the event stream: every tick carries one event, groups
 	// assigned round-robin, so each subscriber's expected sequence is
@@ -232,6 +218,9 @@ func RunSubscriberChurn(dir string, p ChurnParams) (*ChurnResult, error) {
 	var nackMu sync.Mutex
 	var nackSpans []tick.Span
 
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
 	vol, err := logvol.Open(filepath.Join(dir, "pfs.log"), logvol.Options{})
 	if err != nil {
 		return nil, err
@@ -384,7 +373,7 @@ func RunSubscriberChurn(dir string, p ChurnParams) (*ChurnResult, error) {
 	// Live phase: publish the whole stream in batches, serving nacks
 	// between batches, timing each ingest call.
 	liveStart := time.Now()
-	samples := make([]time.Duration, 0, p.Events/p.BatchSize+1)
+	var samples Histogram
 	for i := 0; i < p.Events; i += p.BatchSize {
 		serveNacks()
 		end := i + p.BatchSize
@@ -394,7 +383,7 @@ func RunSubscriberChurn(dir string, p ChurnParams) (*ChurnResult, error) {
 		know := &message.Knowledge{Pubend: churnPubend, Events: events[i:end]}
 		t0 := time.Now()
 		shb.OnKnowledge(know)
-		samples = append(samples, time.Since(t0))
+		samples.Observe(time.Since(t0))
 	}
 	publishTime := time.Since(liveStart)
 
@@ -430,14 +419,6 @@ func RunSubscriberChurn(dir string, p ChurnParams) (*ChurnResult, error) {
 	}
 	drainTime := time.Since(drainStart)
 
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	pct := func(q float64) time.Duration {
-		if len(samples) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(samples)-1))
-		return samples[i]
-	}
 	stats := shb.Stats()
 	res := &ChurnResult{
 		Subscribers:  p.Subscribers,
@@ -447,9 +428,9 @@ func RunSubscriberChurn(dir string, p ChurnParams) (*ChurnResult, error) {
 		ChurnOps:     p.ChurnOps,
 		Delivered:    stats.EventsDelivered,
 		Catchups:     stats.Switchovers,
-		LiveP50:      pct(0.50),
-		LiveP99:      pct(0.99),
-		LiveMax:      samples[len(samples)-1],
+		LiveP50:      samples.Quantile(0.50),
+		LiveP99:      samples.Quantile(0.99),
+		LiveMax:      samples.Max(),
 		PublishTime:  publishTime,
 		EventsPerSec: float64(p.Events) / publishTime.Seconds(),
 		DrainTime:    drainTime,
@@ -469,4 +450,29 @@ func RunSubscriberChurn(dir string, p ChurnParams) (*ChurnResult, error) {
 			res.Lost, res.Duplicates, res.Reordered, res.Gaps)
 	}
 	return res, nil
+}
+
+// ChurnComparison runs one churn workload on the sharded engine and on the
+// single-lock baseline.
+type ChurnComparison struct {
+	Sharded     *ChurnResult `json:"sharded"`
+	SingleLock  *ChurnResult `json:"singleLock"`
+	ThroughputX float64      `json:"throughputXvsSingleLock"` // sharded/single-lock events/s
+}
+
+// RunChurnComparison runs p with min(GOMAXPROCS, 8) subscriber shards —
+// at least 2, so the sharded scheduler is exercised even on small
+// machines — and again with one.
+func RunChurnComparison(dir string, p ChurnParams) (*ChurnComparison, error) {
+	p.SubShards = min(max(runtime.GOMAXPROCS(0), 2), 8)
+	sharded, err := RunSubscriberChurn(filepath.Join(dir, "sharded"), p)
+	if err != nil {
+		return nil, err
+	}
+	p.SubShards = 1
+	single, err := RunSubscriberChurn(filepath.Join(dir, "single"), p)
+	if err != nil {
+		return nil, err
+	}
+	return &ChurnComparison{sharded, single, sharded.EventsPerSec / single.EventsPerSec}, nil
 }

@@ -29,7 +29,7 @@ func TestTopologyChaosSmall(t *testing.T) {
 	if res.Kills != 2 || res.Reparents != 2 || res.Restarts != res.Kills {
 		t.Errorf("mutations: %+v", res)
 	}
-	if !res.Healthy || !res.AllDelivered || res.Gaps != 0 || res.Violations != 0 {
+	if !res.Healthy || res.Verdict.Err() != nil {
 		t.Errorf("invariants: %+v", res)
 	}
 	if res.Published == 0 {
@@ -56,7 +56,7 @@ func TestTopologyChaosWithFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaos with failover: %v (%+v)", err, res)
 	}
-	if !res.Healthy || !res.AllDelivered || res.Gaps != 0 || res.Violations != 0 {
+	if !res.Healthy || res.Verdict.Err() != nil {
 		t.Errorf("invariants: %+v", res)
 	}
 }

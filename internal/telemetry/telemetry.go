@@ -4,8 +4,9 @@
 // admin HTTP endpoint in Prometheus text exposition format together with
 // health/readiness checks and net/http/pprof profiles (see server.go).
 //
-// Unlike internal/metrics — the harness-driven experiment recorder that
-// regenerates the paper's figures after a run — telemetry instruments are
+// Unlike the experiment harness's series and exact-quantile histograms
+// (internal/experiment), which regenerate the paper's figures after a
+// run, telemetry instruments are
 // live: they are sampled while a broker serves traffic, and they are cheap
 // enough (single uncontended atomic add, well under 50ns; see
 // BenchmarkTelemetryCounter) to sit on every hot path of the stack:
